@@ -41,7 +41,6 @@ int main() {
 
     core::RFDumpPipeline::Config cfg;
     cfg.zigbee_detector = true;
-    cfg.analysis.zigbee_demod = true;
     w.Reset();
     const auto report = core::RFDumpPipeline(cfg).Process(scenario.samples);
     t_pipeline += w.Seconds();

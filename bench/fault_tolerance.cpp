@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "rfdump/core/result_sink.hpp"
 #include "rfdump/core/streaming.hpp"
 #include "rfdump/emu/frontend.hpp"
 
@@ -58,10 +59,12 @@ RunResult Run(const Workload& w, const emu::FrontEnd::Config& fcfg,
   if (fcfg.clip_amplitude > 0.0f) {
     mcfg.pipeline.saturation_amplitude = fcfg.clip_amplitude;
   }
-  core::StreamingMonitor monitor(mcfg);
   RunResult r;
-  monitor.on_wifi_frame =
+  core::FunctionSink sink;
+  sink.on_wifi_frame =
       [&](const rfdump::phy80211::DecodedFrame&) { ++r.decoded; };
+  mcfg.sink = &sink;
+  core::StreamingMonitor monitor(mcfg);
   while (!fe.Done()) {
     const auto seg = fe.NextSegment();
     if (!seg.samples.empty()) monitor.PushSegment(seg.start_sample, seg.samples);

@@ -28,6 +28,7 @@
 
 #include "rfdump/core/executor.hpp"
 #include "rfdump/core/pipeline.hpp"
+#include "rfdump/core/result_sink.hpp"
 #include "rfdump/dsp/simd.hpp"
 #include "rfdump/obs/obs.hpp"
 #include "rfdump/core/spectrogram.hpp"
@@ -376,20 +377,20 @@ core::MonitorReport MonitorImpaired(const dsp::SampleVec& x,
   rfdump::emu::FrontEnd frontend(x, fe, /*seed=*/7);
 
   mcfg.pipeline.saturation_amplitude = fe.clip_amplitude;
-  core::StreamingMonitor monitor(mcfg);
   core::MonitorReport report;
-  monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
+  core::FunctionSink sink;
+  sink.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
     report.wifi_frames.push_back(f);
   };
-  monitor.on_bt_packet = [&](const rfdump::phybt::DecodedBtPacket& p) {
+  sink.on_bt_packet = [&](const rfdump::phybt::DecodedBtPacket& p) {
     report.bt_packets.push_back(p);
   };
-  monitor.on_detection = [&](const core::Detection& d) {
+  sink.on_detection = [&](const core::Detection& d) {
     report.detections.push_back(d);
   };
   std::uint64_t blocks_seen = 0;
   const bool periodic_metrics = !metrics_path.empty() && metrics_path != "-";
-  monitor.on_health = [&](const core::HealthReport& h) {
+  sink.on_health = [&](const core::HealthReport& h) {
     std::printf(
         "[health] block @%9.3f s: %llu samples, gaps %u (%lld lost), "
         "dup %lld, sanitized %llu, sat %4.1f%%, stage %d, load %.3f, "
@@ -409,6 +410,8 @@ core::MonitorReport MonitorImpaired(const dsp::SampleVec& x,
       DumpMetrics(metrics_path);
     }
   };
+  mcfg.sink = &sink;
+  core::StreamingMonitor monitor(mcfg);
   while (!frontend.Done()) {
     const auto seg = frontend.NextSegment();
     if (!seg.samples.empty()) monitor.PushSegment(seg.start_sample, seg.samples);
@@ -1027,7 +1030,7 @@ int main(int argc, char** argv) {
                     metrics_path, trace_path_out);
   }
   // One executor for the whole run: Executor(1) is serial inline (no pool),
-  // wider widths fan the analysis stage out per interval x protocol.
+  // wider widths fan the analysis stage out per dispatched interval.
   core::Executor executor(threads);
 
   core::MonitorReport report;

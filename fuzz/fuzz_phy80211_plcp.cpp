@@ -1,6 +1,6 @@
 // libFuzzer entry point for the 802.11b PLCP parser + DSSS demodulator
 // (clang only; see fuzz/CMakeLists.txt). The input mapping is shared with
-// the in-tree corpus runner: testing::RunFuzzInput.
+// the in-tree corpus runner: the "phy80211-plcp" fuzz target.
 
 #include <cstddef>
 #include <cstdint>
@@ -10,11 +10,11 @@
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
+  static const auto target = rfdump::testing::FindFuzzTarget("phy80211-plcp");
   // Arm a cooperative budget so slow-but-terminating inputs don't trip
   // libFuzzer's timeout; true hangs (budget ignored) still will.
   rfdump::util::WorkBudget budget;
   budget.Arm({.max_samples = 64u << 20, .max_cpu_seconds = 2.0});
-  (void)rfdump::testing::RunFuzzInput(
-      rfdump::testing::FuzzTarget::kPhy80211Plcp, {data, size}, &budget);
+  (void)target.run({data, size}, &budget);
   return 0;
 }

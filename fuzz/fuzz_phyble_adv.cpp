@@ -1,22 +1,18 @@
 // libFuzzer entry point for the BLE advertising decoder (clang only; see
-// fuzz/CMakeLists.txt). BLE has no legacy FuzzTarget enum value — the target
-// comes straight from its registry bundle's fuzz hooks, shared with the
-// in-tree corpus runner.
+// fuzz/CMakeLists.txt). The input mapping is shared with the in-tree corpus
+// runner: the "phyble-adv" fuzz target, straight from its registry bundle.
 
 #include <cstddef>
 #include <cstdint>
 
-#include "rfdump/core/protocol_registry.hpp"
 #include "rfdump/testing/fuzz.hpp"
 #include "rfdump/util/work_budget.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  const auto* bundle = rfdump::core::ProtocolRegistry::Instance().Find(
-      rfdump::core::Protocol::kBleAdv);
-  if (bundle == nullptr || !bundle->fuzz_run) return 0;
+  static const auto target = rfdump::testing::FindFuzzTarget("phyble-adv");
   rfdump::util::WorkBudget budget;
   budget.Arm({.max_samples = 64u << 20, .max_cpu_seconds = 2.0});
-  (void)bundle->fuzz_run({data, size}, &budget);
+  (void)target.run({data, size}, &budget);
   return 0;
 }

@@ -1,6 +1,6 @@
 // libFuzzer entry point for the ZigBee O-QPSK frame decoder (clang only;
 // see fuzz/CMakeLists.txt). The input mapping is shared with the in-tree
-// corpus runner: testing::RunFuzzInput.
+// corpus runner: the "phyzigbee" fuzz target.
 
 #include <cstddef>
 #include <cstdint>
@@ -10,9 +10,9 @@
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
+  static const auto target = rfdump::testing::FindFuzzTarget("phyzigbee");
   rfdump::util::WorkBudget budget;
   budget.Arm({.max_samples = 64u << 20, .max_cpu_seconds = 2.0});
-  (void)rfdump::testing::RunFuzzInput(rfdump::testing::FuzzTarget::kPhyZigbee,
-                                      {data, size}, &budget);
+  (void)target.run({data, size}, &budget);
   return 0;
 }

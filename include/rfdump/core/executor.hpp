@@ -6,8 +6,8 @@
 // bank itself (1 x 802.11 + 8 x per-channel Bluetooth) is embarrassingly
 // parallel across dispatched intervals. The Executor turns that into wall
 // clock: a fixed-width work-stealing thread pool over which the pipelines
-// fan out per-interval analysis tasks, with a serial inline mode that is the
-// default and is byte-for-byte the pre-parallel behavior.
+// fan out per-interval analysis tasks. Width 1, the default, runs the same
+// batches inline on the caller, so one analysis path serves every width.
 //
 // Width semantics: Executor(N) means N analysis workers total — N-1 pool
 // threads plus the caller, which joins the work inside Batch::Wait()
@@ -17,7 +17,7 @@
 // Scheduling: each pool thread owns a deque; submissions are distributed
 // round-robin; an idle worker first drains its own deque (FIFO) and then
 // steals from its siblings. Tasks must not block on other tasks — the
-// pipelines only submit leaf demodulation units, so a waiting thread that
+// pipelines only submit leaf demodulation tasks, so a waiting thread that
 // "helps" can never deadlock.
 //
 // Determinism contract: the Executor guarantees only that every task

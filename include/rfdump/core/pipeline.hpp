@@ -102,14 +102,12 @@ struct MonitorReport {
 /// Shared demodulator bank configuration.
 struct AnalysisConfig {
   bool demodulate = true;      // false: detection only (Fig 9 "no demod")
-  bool wifi_demod = true;
-  bool zigbee_demod = false;   // decode 802.15.4 frames in tagged ranges
-  int bt_demods = 8;           // one per visible Bluetooth channel
   std::uint8_t bt_uap = 0x47;  // UAP known to the monitor (see DESIGN.md)
   /// Registry bundles whose intervals the analysis stage will demodulate
-  /// (bit = BundleBit(protocol)). Defaults to all-on: the detect stage's
-  /// bundle mask already decides which protocols get tagged and dispatched,
-  /// so analysis follows detection unless a bundle is disabled here too.
+  /// (bit = BundleBit(protocol)); the only per-protocol analysis switch.
+  /// Defaults to all-on: the detect stage's bundle mask already decides
+  /// which protocols get tagged and dispatched, so analysis follows
+  /// detection unless a bundle is disabled here too.
   std::uint32_t bundle_mask = 0xFFFFFFFFu;
   /// Detections below this confidence are still reported but not dispatched
   /// to demodulators. 0 dispatches everything; the streaming monitor's
@@ -137,13 +135,17 @@ struct DetectOutput {
 };
 
 /// Runs the demodulator bank over `det.report.dispatched` and returns the
-/// completed report. `x` must be the same span Detect() saw. A null or
-/// serial `executor` reproduces the historical single-threaded analysis
-/// byte-for-byte; a parallel executor fans each interval x protocol
-/// demodulation out as independent tasks and merges result slots in
-/// submission order, so the result-bearing report fields are identical to
-/// the serial run. `sink`, when set, receives every report entry (health
-/// first, then detections/frames/packets) after analysis completes.
+/// completed report. `x` must be the same span Detect() saw. Every
+/// dispatched interval is one task of a single Executor::Batch (inline on
+/// the calling thread when `executor` is null or Executor(1)) that runs the
+/// interval's demodulation units in order; result slots are merged in
+/// submission order, so the result-bearing report fields are identical at
+/// every width. Supervised intervals are
+/// admitted in dispatch order and finished at the merge; a throwing unit
+/// never stops its siblings, and an unsupervised throw is rethrown after
+/// all units ran (DESIGN.md §10). `sink`, when set, receives every report
+/// entry (health first, then detections/frames/packets) after analysis
+/// completes.
 [[nodiscard]] MonitorReport AnalyzeDetections(DetectOutput det,
                                               dsp::const_sample_span x,
                                               Executor* executor = nullptr,
@@ -184,17 +186,17 @@ class RFDumpPipeline {
     /// streaming monitor always wires its own supervisor here.
     Supervisor* supervisor = nullptr;
     /// Analysis-stage execution engine (non-owning; DESIGN.md §10). Null or
-    /// Executor(1): serial inline analysis, the historical behaviour. A
-    /// wider executor parallelises demodulation with a deterministic
-    /// ordered merge — result-bearing report fields are bit-identical.
+    /// Executor(1) runs the analysis batch inline on the calling thread; a
+    /// wider executor runs the same batch on its workers. Either way the
+    /// ordered merge makes the result-bearing report fields bit-identical.
     Executor* executor = nullptr;
     /// Optional live consumer: Process() emits every report entry into the
     /// sink after analysis (non-owning; see core/result_sink.hpp).
     ResultSink* sink = nullptr;
 
     /// Enables one registry bundle: sets its bundle_mask bit and — for the
-    /// historical protocols that predate the mask — the matching legacy
-    /// detector/demod booleans, so either switch form stays consistent.
+    /// historical detectors that predate the mask — the matching legacy
+    /// detector boolean, so either switch form stays consistent.
     void EnableBundle(Protocol p);
   };
 

@@ -86,9 +86,8 @@ struct ProtocolDetectors {
 /// How the analysis stage fans an interval tagged with this protocol out
 /// into supervised task units.
 struct AnalysisPlan {
-  /// Number of independent demodulation units per interval. Negative means
-  /// the interval is skipped entirely (no supervision boundary is opened).
-  int units = -1;
+  /// Number of independent demodulation units per interval.
+  int units = 1;
   /// Stop launching units once the interval's work budget has expired
   /// (multi-channel scans charge the shared budget per channel).
   bool check_budget = false;
@@ -108,8 +107,8 @@ struct AnalysisUnitContext {
 
 /// Deferred result application: run_unit executes on a worker thread and
 /// returns a commit closure; the pipeline invokes commits single-threaded in
-/// deterministic submission order, which is what keeps parallel analysis
-/// bit-identical to serial.
+/// deterministic submission order, which is what keeps analysis
+/// bit-identical at every executor width.
 using AnalysisCommit = std::function<void(MonitorReport&)>;
 
 /// Everything one protocol contributes to the monitor. All hooks are

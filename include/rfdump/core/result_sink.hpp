@@ -1,17 +1,12 @@
 #pragma once
 // core::ResultSink — the unified result-emission API (DESIGN.md §10).
 //
-// The streaming monitor used to expose four independent std::function
-// callbacks (wifi / bt / detection / health); the batch pipelines exposed
-// none and returned everything in a MonitorReport. Parallelising the
-// analysis stage forces a single synchronised emission point anyway — the
-// ordered merge hands results to exactly one consumer, in stream order — so
-// that point becomes an interface both operating modes share:
+// The analysis stage's ordered merge hands results to exactly one consumer,
+// in stream order, so that single synchronised emission point is an
+// interface both operating modes share:
 //
 //  * StreamingMonitor::Config::sink receives results continuously, block by
-//    block, in absolute stream coordinates. The legacy on_* callback
-//    members still work (they are shims routed through an internal
-//    FunctionSink) but are deprecated and will be removed next release.
+//    block, in absolute stream coordinates.
 //  * RFDumpPipeline / NaivePipeline invoke an optional sink as Process()
 //    emits into the MonitorReport, so a live consumer can observe a batch
 //    run without waiting for the report.
@@ -60,7 +55,8 @@ class ResultSink {
 };
 
 /// ResultSink assembled from per-event std::function slots; unset slots drop
-/// their events. This is the back-compat bridge for the old callback quartet.
+/// their events. Handy for a consumer that wants a lambda or two rather
+/// than a ResultSink subclass.
 class FunctionSink final : public ResultSink {
  public:
   std::function<void(const phy80211::DecodedFrame&)> on_wifi_frame;

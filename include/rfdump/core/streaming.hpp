@@ -24,24 +24,26 @@
 // low-confidence tags, then demodulation entirely (detection-only, the cheap
 // mode of Fig 9). Hysteresis restores stages as load falls.
 //
-// Execution model (DESIGN.md §10): with Config::threads == 1 the monitor is
-// fully serial — every Push runs detection and analysis inline, exactly the
-// historical behaviour. With threads >= 2 the monitor pipelines: the caller
-// thread keeps doing ingest + detection, completed blocks are handed to an
-// internal analyzer thread through a bounded queue (double-buffering:
-// detection of block N+1 overlaps analysis of block N), and the analyzer
-// fans the demodulator bank out over a core::Executor of the configured
-// width. Emission stays a single synchronised point — the analyzer thread —
-// so ResultSink implementations never see concurrent calls, and the ordered
-// merge keeps results identical to the serial run. When the queue is full,
-// Push blocks (backpressure) and the stall is fed to the shed controller as
-// an overload signal.
+// Execution model (DESIGN.md §10): every block takes one path. The caller
+// thread ingests, detects the block and packages it as a BlockJob; one
+// function (AnalyzeBlock) then analyses it, records its health and emits its
+// results. With Config::threads == 1 the job is analysed inline, in place in
+// the ingest buffer, and the analysis batch runs inline too — no thread is
+// started. With threads >= 2 the job carries a copy of its samples and is
+// handed to an internal analyzer thread through a bounded queue
+// (double-buffering: detection of block N+1 overlaps analysis of block N),
+// and the analyzer fans the demodulator bank out over a core::Executor of
+// the configured width. Emission stays a single synchronised point, so
+// ResultSink implementations never see concurrent calls, and the ordered
+// merge keeps results identical at every width. A shed-stage change decided
+// after block N applies from block N+1's detection on. When the queue is
+// full, Push blocks (backpressure) and the stall is fed to the shed
+// controller as an overload signal.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -96,8 +98,8 @@ class StreamingMonitor {
     std::size_t overlap_samples = 160'000;
 
     /// Analysis workers (core::Executor width, including the analyzer
-    /// thread itself). 1 = fully serial monitor, the historical behaviour.
-    /// >= 2 enables the pipelined mode described in the file comment.
+    /// thread itself). 1 = every block is analysed inline on the caller
+    /// thread; >= 2 enables the pipelined mode described in the file comment.
     /// 0 is invalid here (Validate() throws): the monitor must not silently
     /// pick a width, the operator chooses (the CLI maps --threads 0 to the
     /// hardware concurrency before it reaches this config).
@@ -107,11 +109,9 @@ class StreamingMonitor {
     /// is reported to the shed controller as overload. Must be >= 1.
     std::size_t max_queue_blocks = 2;
 
-    /// Unified result sink (non-owning; see core/result_sink.hpp): decoded
+    /// Result sink (non-owning; see core/result_sink.hpp): decoded
     /// frames/packets, detections and per-block health all emit here, from
-    /// one synchronised emission point. The legacy on_* callback members on
-    /// the monitor still fire (back-compat shims through the same path) but
-    /// are deprecated in favour of this.
+    /// one synchronised emission point. Null: results are only counted.
     ResultSink* sink = nullptr;
 
     /// CPU-over-real-time budget per block. 0 disables load shedding.
@@ -158,7 +158,7 @@ class StreamingMonitor {
   /// `PushSegment(next_expected_timestamp, segment)`: the timestamp
   /// auto-advances past everything pushed so far (first call anchors the
   /// stream at 0), so there is exactly one ingest path and mixing Push with
-  /// PushSegment is well-defined. May invoke sink/callbacks.
+  /// PushSegment is well-defined. May invoke the sink.
   void Push(dsp::const_sample_span segment);
 
   /// Feeds a timestamped segment: `start_sample` is the absolute stream
@@ -174,16 +174,6 @@ class StreamingMonitor {
   /// for pushed samples has been emitted and the accessors below are safe
   /// to read even with threads >= 2.
   void Flush();
-
-  /// Legacy per-event callbacks (positions are absolute stream indices).
-  /// Deprecated: thin shims kept for one release — they are invoked through
-  /// the same single emission point as Config::sink, which also receives
-  /// ZigBee frames (these callbacks never did). Prefer Config::sink.
-  std::function<void(const phy80211::DecodedFrame&)> on_wifi_frame;
-  std::function<void(const phybt::DecodedBtPacket&)> on_bt_packet;
-  std::function<void(const Detection&)> on_detection;
-  /// Called once per processed block with that block's health.
-  std::function<void(const HealthReport&)> on_health;
 
   /// Aggregate stage costs across all processed blocks.
   const std::vector<StageCost>& costs() const { return costs_; }
@@ -220,50 +210,47 @@ class StreamingMonitor {
   Supervisor& supervisor() { return supervisor_; }
 
  private:
-  /// One detected block handed from the ingest/detect thread to the
-  /// analyzer (pipelined mode). Carries everything the analyzer needs so
-  /// the two threads share no mutable monitor state: the sample copy, the
-  /// detection output, the emission window, and the ingest tallies.
-  struct BlockJob {
-    dsp::SampleVec samples;
-    DetectOutput det;
-    std::int64_t base = 0;       // absolute index of samples[0]
-    std::size_t take = 0;        // block length
-    std::int64_t emit_from = 0;  // ownership window [emit_from, boundary)
-    std::int64_t boundary = 0;
-    bool gap_cut = false;
-    int shed_stage = 0;          // stage the block was detected at
-    double detect_seconds = 0.0;
-    // Ingest tallies flushed into this block's HealthReport.
+  /// Stream faults seen on ingest since the last block, flushed into the
+  /// next HealthReport.
+  struct IngestTallies {
     std::uint32_t gap_count = 0;
     std::int64_t gap_samples = 0;
     std::int64_t overlap_samples = 0;
     std::uint64_t sanitized = 0;
   };
 
+  /// One detected block. Carries everything AnalyzeBlock needs, so in
+  /// pipelined mode the ingest/detect thread and the analyzer share no
+  /// mutable monitor state: the samples, the detection output, the emission
+  /// window, and the ingest tallies.
+  struct BlockJob {
+    dsp::const_sample_span samples;  // the block: views buffer_ (inline) or
+    dsp::SampleVec copy;             //   this copy (pipelined)
+    DetectOutput det;
+    std::int64_t base = 0;       // absolute index of samples[0]
+    std::int64_t emit_from = 0;  // ownership window [emit_from, boundary)
+    std::int64_t boundary = 0;
+    bool gap_cut = false;
+    int shed_stage = 0;          // stage the block was detected at
+    double detect_seconds = 0.0;
+    IngestTallies tallies;
+  };
+
   [[nodiscard]] bool pipelined() const { return analyzer_.joinable(); }
+  /// Detects the next block on the calling thread, packages it as a
+  /// BlockJob, then analyses it inline (threads == 1) or enqueues it for
+  /// the analyzer (blocking when the queue is full), and advances the
+  /// ingest buffer.
   void ProcessBlock(bool final_block, bool gap_cut);
-  /// Pipelined-mode block hand-off: detect on the calling thread, package a
-  /// BlockJob, advance the ingest state, enqueue (blocking when full).
-  void EnqueueBlock(bool final_block, bool gap_cut);
   void AnalyzerLoop();
-  /// Analyzer-side half of a block: analysis fan-out, health, emission,
-  /// shed-controller update.
+  /// The one block-completion path: analysis fan-out, supervision deltas,
+  /// cost merge, health, ownership/gap-cut filter, emission, shed update.
   void AnalyzeBlock(BlockJob& job);
   /// Blocks until the analyzer queue is empty and the analyzer is idle.
   void DrainQueue();
-  /// Serial-mode health emission: folds the pending ingest tallies into `h`
-  /// and forwards to RecordHealth.
-  void EmitHealth(HealthReport h);
-  /// Summary/ring/metrics bookkeeping + health emission (tally-free; safe
-  /// from the analyzer thread).
-  void RecordHealth(const HealthReport& h);
-  // The single emission point: Config::sink plus the legacy callback shims.
-  void EmitWifi(const phy80211::DecodedFrame& f);
-  void EmitBt(const phybt::DecodedBtPacket& p);
-  void EmitZb(const phyzigbee::DecodedZbFrame& z);
-  void EmitEvent(const ProtocolEvent& e);
-  void EmitDetection(const Detection& d);
+  /// Folds `tallies` into `h`, then summary/ring/metrics bookkeeping and
+  /// health emission.
+  void RecordHealth(HealthReport h, const IngestTallies& tallies);
   void UpdateShedding(double block_load, bool deadline_pressure,
                       bool backpressure);
   void ApplyShedStage();
@@ -286,16 +273,12 @@ class StreamingMonitor {
   std::deque<HealthReport> health_;
   HealthSummary summary_;
 
-  // Ingest-side tallies flushed into the next HealthReport.
-  std::uint32_t pending_gap_count_ = 0;
-  std::int64_t pending_gap_samples_ = 0;
-  std::int64_t pending_overlap_samples_ = 0;
-  std::uint64_t pending_sanitized_ = 0;
+  IngestTallies pending_;  // ingest-side, flushed into the next block
 
-  // Load-shedding controller state. The controller runs wherever block
-  // bookkeeping runs (caller thread when serial, analyzer thread when
-  // pipelined); shed_stage_ is atomic because the ingest thread reads it as
-  // the rebuild target and accessors may poll it.
+  // Load-shedding controller state. The controller runs in AnalyzeBlock
+  // (caller thread when threads == 1, analyzer thread when pipelined);
+  // shed_stage_ is atomic because the ingest thread reads it as the rebuild
+  // target and accessors may poll it.
   std::atomic<int> shed_stage_{0};
   int under_budget_blocks_ = 0;
   int applied_shed_stage_ = 0;  // ingest-side: stage pipeline_ was built at

@@ -131,8 +131,8 @@ class Supervisor {
     bool admitted = false;
     bool is_probe = false;  // half-open probe; resolved by Finish()
     Outcome outcome = Outcome::kOk;
-    /// Deadline budget shared by all units of the interval. WorkBudget is
-    /// safe to Charge() from concurrent units.
+    /// Deadline budget shared by all units of the interval (the pipeline
+    /// runs them in order within one task).
     util::WorkBudget budget;
   };
 
@@ -146,7 +146,7 @@ class Supervisor {
   /// Thread-safe, but callers that need deterministic breaker behaviour
   /// must Admit() intervals in dispatch order from one thread.
   /// shared_ptr because the Admission (its WorkBudget holds atomics and
-  /// cannot move) outlives the call in every parallel unit's closure.
+  /// cannot move) outlives the call in the interval's analysis task.
   [[nodiscard]] std::shared_ptr<Admission> Admit(
       Protocol p, std::int64_t start, std::int64_t end,
       dsp::const_sample_span interval);

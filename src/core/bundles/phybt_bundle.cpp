@@ -185,19 +185,18 @@ ProtocolBundle MakeBtBundle() {
     return d;
   };
 
-  b.analysis_plan = [](const AnalysisConfig& a) {
+  b.analysis_plan = [](const AnalysisConfig&) {
     AnalysisPlan p;
-    // One unit per configured demodulator channel. Bluetooth always opens a
-    // supervision boundary, even with zero channels configured, and the
-    // multi-channel scan stops early once the interval's budget expires.
-    p.units = std::max(a.bt_demods, 0);
+    // One unit per visible channel; the multi-channel scan stops early once
+    // the interval's budget expires.
+    p.units = phybt::kVisibleChannels;
     p.check_budget = true;
     p.stage = "analysis/bt-demod";
     return p;
   };
   b.run_unit = [](const AnalysisUnitContext& ctx, int unit) -> AnalysisCommit {
     phybt::Demodulator::Config cfg;
-    cfg.channel_index = unit % static_cast<int>(phybt::kVisibleChannels);
+    cfg.channel_index = unit;
     cfg.expected_uap = ctx.analysis->bt_uap;
     cfg.noise_floor_power = ctx.noise_floor_power;
     cfg.budget = ctx.budget;

@@ -104,9 +104,8 @@ ProtocolBundle MakeZigbeeBundle() {
     return d;
   };
 
-  b.analysis_plan = [](const AnalysisConfig& a) {
+  b.analysis_plan = [](const AnalysisConfig&) {
     AnalysisPlan p;
-    p.units = a.zigbee_demod ? 1 : -1;
     p.stage = "analysis/zigbee-demod";
     return p;
   };

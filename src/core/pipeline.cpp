@@ -83,9 +83,8 @@ class PerProtocolCounter {
 };
 
 // Deduplicates frames/packets found by more than one pass over overlapping
-// intervals. Runs on the full per-report vectors, so serial and parallel
-// analysis produce identical output as long as they append in the same
-// (interval x unit) submission order — which both do.
+// intervals. Runs on the full per-report vectors after the ordered merge, so
+// the output is the same at every executor width.
 void DedupAnalysisResults(MonitorReport& report) {
   std::sort(report.bt_packets.begin(), report.bt_packets.end(),
             [](const auto& a, const auto& b) {
@@ -144,87 +143,33 @@ void BuildEventView(MonitorReport& report) {
   report.events = std::move(events);
 }
 
-// Runs the demodulator bank over the given per-protocol merged intervals
-// (pass a single full-span detection per protocol for the naive paths).
-// Which protocols run, how many units each interval fans out into, and what
-// a unit does all come from the interval's registry bundle. With a
-// supervisor, each interval's analysis runs inside a stage boundary (armed
-// WorkBudget, exception containment, breaker, quarantine); without one, the
-// closure runs directly with an unarmed (unlimited) budget, which preserves
-// the exact unsupervised batch semantics.
-void RunAnalysisSerial(const AnalysisConfig& analysis,
-                       double noise_floor_power, Supervisor* sup,
-                       const std::vector<Detection>& intervals,
-                       dsp::const_sample_span x, CostLedger& ledger,
-                       MonitorReport& report) {
-  util::WorkBudget unlimited;
-  const auto supervised =
-      [&](const Detection& d, dsp::const_sample_span span,
-          const std::function<void(util::WorkBudget&)>& fn) {
-        if (sup) {
-          return sup->Supervise(d.protocol, d.start_sample, d.end_sample,
-                                span, fn);
-        }
-        fn(unlimited);
-        return Outcome::kOk;
-      };
-  const auto& registry = ProtocolRegistry::Instance();
-  for (const auto& d : intervals) {
-    const ProtocolBundle* bundle = registry.Find(d.protocol);
-    if (bundle == nullptr || !bundle->analysis_plan ||
-        (analysis.bundle_mask & BundleBit(d.protocol)) == 0) {
-      continue;  // no analysis stage for this protocol
-    }
-    const AnalysisPlan plan = bundle->analysis_plan(analysis);
-    if (plan.units < 0) continue;  // disabled: no supervision boundary
-    const auto span = x.subspan(
-        static_cast<std::size_t>(d.start_sample),
-        static_cast<std::size_t>(d.end_sample - d.start_sample));
-    // All units of one interval share the interval's budget, so a runaway
-    // unit cannot starve the block (remaining units see the expired budget
-    // and bail when the bundle opts into the check).
-    supervised(d, span, [&](util::WorkBudget& budget) {
-      for (int unit = 0; unit < plan.units; ++unit) {
-        if (plan.check_budget && budget.expired()) break;
-        CostLedger::Scope scope(ledger, plan.stage, span.size());
-        AnalysisUnitContext ctx;
-        ctx.span = span;
-        ctx.start_sample = d.start_sample;
-        ctx.analysis = &analysis;
-        ctx.noise_floor_power = noise_floor_power;
-        ctx.budget = &budget;
-        if (AnalysisCommit commit = bundle->run_unit(ctx, unit)) {
-          commit(report);
-        }
-      }
-    });
-  }
-  DedupAnalysisResults(report);
-}
-
-// The parallel analysis path (DESIGN.md §10). Each dispatched interval x
-// analysis unit — e.g. every per-channel Bluetooth pass — is submitted as
-// one independent task writing into its own result slot; after the batch
-// joins, slots are merged in submission order, so the result-bearing report
-// fields are bit-identical to the serial run.
+// The analysis stage (DESIGN.md §10), one path at every executor width. Each
+// dispatched interval is one task of a single Executor::Batch writing into
+// its own result slots; a null or Executor(1) batch runs each task inline as
+// it is submitted. Within the task the interval's units — e.g. the
+// per-channel Bluetooth passes — run in submission order and share the
+// interval's budget, so where a budget expires, and hence every result, is
+// the same at every width. After the batch joins, slots are merged in
+// submission order.
 //
 // Supervision uses the split boundary: Admit() on this (driver) thread in
-// interval order — deterministic breaker decisions — and one Finish() per
-// admitted interval at merge time, also in interval order, combining the
-// unit outcomes (first throwing unit in submission order wins the error
-// slot). Unlike the serial path, a throwing unit does not abort its sibling
-// channel units: they run to completion and their results are kept (the
-// "one worker cannot poison siblings" guarantee).
-void RunAnalysisParallel(const AnalysisConfig& analysis,
-                         double noise_floor_power, Supervisor* sup,
-                         Executor* ex, const std::vector<Detection>& intervals,
-                         dsp::const_sample_span x, CostLedger& ledger,
-                         MonitorReport& report) {
-  // One result slot per task. Slots are written by exactly one worker each
+// interval order, just before the interval's task is submitted, and one
+// Finish() per admitted interval at merge time, also in interval order,
+// combining the unit outcomes (first throwing unit in submission order wins
+// the error slot). No outcome reaches a breaker before every interval of the
+// block has been admitted, a throwing unit does not stop its sibling units
+// (their results are kept), and without a supervisor the first throw in
+// submission order surfaces after every unit of the block has run. Without a
+// supervisor the units run with an unarmed (unlimited) budget.
+void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
+                 Supervisor* sup, Executor* ex,
+                 const std::vector<Detection>& intervals,
+                 dsp::const_sample_span x, CostLedger& ledger,
+                 MonitorReport& report) {
+  if (!analysis.demodulate) return;
+  // One result slot per unit. Slots are written by exactly one task each
   // and only read after Batch::Wait(), so they need no locking.
   struct UnitOut {
-    const char* stage = nullptr;
-    std::uint64_t samples = 0;
     double cpu = 0.0;
     bool ran = false;  // false: skipped on an already-expired budget
     AnalysisCommit commit;  // deferred result application, run at merge
@@ -233,8 +178,8 @@ void RunAnalysisParallel(const AnalysisConfig& analysis,
   };
   struct IntervalJob {
     dsp::const_sample_span span;
+    const char* stage = nullptr;  // cost-ledger / trace stage of its units
     std::shared_ptr<Supervisor::Admission> admission;  // null without sup
-    bool run_units = true;
     std::vector<UnitOut> units;
   };
 
@@ -246,77 +191,70 @@ void RunAnalysisParallel(const AnalysisConfig& analysis,
   const auto& registry = ProtocolRegistry::Instance();
 
   for (const auto& d : intervals) {
-    // Unit plan per protocol from the registry, mirroring the serial path
-    // exactly: a disabled bundle (negative unit count) never opens a
-    // supervision boundary; a zero-unit plan (e.g. Bluetooth with zero
-    // channels configured) still does.
+    // Which protocols run, how many units each interval fans out into, and
+    // what a unit does all come from the interval's registry bundle.
     const ProtocolBundle* bundle = registry.Find(d.protocol);
     if (bundle == nullptr || !bundle->analysis_plan ||
         (analysis.bundle_mask & BundleBit(d.protocol)) == 0) {
       continue;  // no analysis stage for this protocol
     }
     const AnalysisPlan plan = bundle->analysis_plan(analysis);
-    if (plan.units < 0) continue;
 
     jobs.emplace_back();
     IntervalJob& job = jobs.back();
     job.span = x.subspan(
         static_cast<std::size_t>(d.start_sample),
         static_cast<std::size_t>(d.end_sample - d.start_sample));
+    job.stage = plan.stage;
     if (sup != nullptr) {
       job.admission =
           sup->Admit(d.protocol, d.start_sample, d.end_sample, job.span);
-      job.run_units = job.admission->admitted;
+      if (!job.admission->admitted) continue;
     }
-    if (!job.run_units) continue;
     job.units.resize(static_cast<std::size_t>(plan.units));
+    // All units of one interval share the interval's budget, so a runaway
+    // unit cannot starve the block (remaining units see the expired budget
+    // and bail when the bundle opts into the check).
     util::WorkBudget* budget =
         job.admission ? &job.admission->budget : &unlimited;
-    const std::int64_t start = d.start_sample;
-    const auto span = job.span;
-
-    for (int unit = 0; unit < plan.units; ++unit) {
-      UnitOut* out = &job.units[static_cast<std::size_t>(unit)];
-      batch.Run([out, bundle, plan, budget, span, start, unit,
-                 noise_floor_power, &analysis] {
-        if (plan.check_budget && budget->expired()) {
-          return;  // the serial path's early break
-        }
-        out->ran = true;
-        out->stage = plan.stage;
-        out->samples = span.size();
+    batch.Run([j = &job, bundle, check_budget = plan.check_budget, budget,
+               start = d.start_sample, noise_floor_power, &analysis] {
+      for (std::size_t unit = 0; unit < j->units.size(); ++unit) {
+        if (check_budget && budget->expired()) break;
+        UnitOut& out = j->units[unit];
+        out.ran = true;
         obs::Stopwatch w;
-        obs::TraceSpan trace(plan.stage);
+        obs::TraceSpan trace(j->stage);
         try {
           AnalysisUnitContext ctx;
-          ctx.span = span;
+          ctx.span = j->span;
           ctx.start_sample = start;
           ctx.analysis = &analysis;
           ctx.noise_floor_power = noise_floor_power;
           ctx.budget = budget;
-          out->commit = bundle->run_unit(ctx, unit);
+          out.commit = bundle->run_unit(ctx, static_cast<int>(unit));
         } catch (const std::exception& e) {
-          out->error = std::current_exception();
-          out->error_text = e.what();
+          out.error = std::current_exception();
+          out.error_text = e.what();
         } catch (...) {
-          out->error = std::current_exception();
-          out->error_text = "non-std exception";
+          out.error = std::current_exception();
+          out.error_text = "non-std exception";
         }
-        out->cpu = w.Seconds();
-      });
-    }
+        out.cpu = w.Seconds();
+      }
+    });
   }
 
   batch.Wait();
 
   // Deterministic ordered merge: jobs in interval order, units in
-  // submission order — the exact append order of the serial path.
+  // submission order.
   std::exception_ptr unsupervised_error;
   for (IntervalJob& job : jobs) {
     std::exception_ptr first_error;
     std::string error_text;
     for (UnitOut& u : job.units) {
-      if (u.ran) ledger.Add(u.stage, u.cpu, u.samples);
+      if (u.ran) ledger.Add(job.stage, u.cpu, job.span.size());
       if (u.error && !first_error) {
         first_error = u.error;
         error_text = u.error_text;
@@ -340,21 +278,6 @@ void RunAnalysisParallel(const AnalysisConfig& analysis,
   if (unsupervised_error) std::rethrow_exception(unsupervised_error);
 
   DedupAnalysisResults(report);
-}
-
-void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
-                 Supervisor* sup, Executor* ex,
-                 const std::vector<Detection>& intervals,
-                 dsp::const_sample_span x, CostLedger& ledger,
-                 MonitorReport& report) {
-  if (!analysis.demodulate) return;
-  if (ex != nullptr && !ex->serial()) {
-    RunAnalysisParallel(analysis, noise_floor_power, sup, ex, intervals, x,
-                        ledger, report);
-  } else {
-    RunAnalysisSerial(analysis, noise_floor_power, sup, intervals, x, ledger,
-                      report);
-  }
 }
 
 /// A bundle's freshly constructed detector hooks for one Detect() call.
@@ -430,13 +353,12 @@ MonitorReport AnalyzeDetections(DetectOutput det, dsp::const_sample_span x,
 
 void RFDumpPipeline::Config::EnableBundle(Protocol p) {
   bundle_mask |= BundleBit(p);
-  // The historical protocols predate the bundle mask and are additionally
+  // The historical detectors predate the bundle mask and are additionally
   // gated by their legacy booleans; keep both switch forms consistent. New
   // bundles are controlled by the mask alone and need no case here.
   switch (p) {
     case Protocol::kZigbee:
       zigbee_detector = true;
-      analysis.zigbee_demod = true;
       break;
     case Protocol::kMicrowave:
       microwave_detector = true;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "rfdump/core/executor.hpp"
 #include "rfdump/core/result_sink.hpp"
@@ -135,8 +136,8 @@ void StreamingMonitor::PushSegment(std::int64_t start_sample,
     // pre-gap samples are complete up to the gap — then restart the block
     // schedule on the far side. Nothing is ever decoded across the gap.
     const std::int64_t missing = start_sample - expected_next_;
-    ++pending_gap_count_;
-    pending_gap_samples_ += missing;
+    ++pending_.gap_count;
+    pending_.gap_samples += missing;
     StreamingMetrics::Get().gaps.Inc();
     StreamingMetrics::Get().gap_samples.Inc(
         static_cast<std::uint64_t>(missing));
@@ -153,13 +154,13 @@ void StreamingMonitor::PushSegment(std::int64_t start_sample,
     const auto skip = static_cast<std::size_t>(std::min<std::int64_t>(
         expected_next_ - start_sample,
         static_cast<std::int64_t>(samples.size())));
-    pending_overlap_samples_ += static_cast<std::int64_t>(skip);
+    pending_.overlap_samples += static_cast<std::int64_t>(skip);
     StreamingMetrics::Get().duplicate_samples.Inc(skip);
     samples = samples.subspan(skip);
   }
   expected_next_ += static_cast<std::int64_t>(samples.size());
   const std::uint64_t sanitized = AppendSanitized(samples);
-  pending_sanitized_ += sanitized;
+  pending_.sanitized += sanitized;
   StreamingMetrics::Get().sanitized.Inc(sanitized);
   while (buffer_.size() >= config_.block_samples) {
     ProcessBlock(/*final_block=*/false, /*gap_cut=*/false);
@@ -184,20 +185,16 @@ std::uint64_t StreamingMonitor::AppendSanitized(
 }
 
 void StreamingMonitor::Flush() {
-  if (!buffer_.empty()) {
-    ProcessBlock(/*final_block=*/true, /*gap_cut=*/false);
-    if (pipelined()) DrainQueue();
-  } else if (pending_gap_count_ > 0 || pending_overlap_samples_ > 0 ||
-             pending_sanitized_ > 0) {
-    // Nothing buffered, but ingest saw faults since the last block: emit an
-    // empty-block report so no fault goes unrecorded.
-    if (pipelined()) DrainQueue();
+  if (!buffer_.empty()) ProcessBlock(/*final_block=*/true, /*gap_cut=*/false);
+  if (pipelined()) DrainQueue();
+  if (pending_.gap_count > 0 || pending_.overlap_samples > 0 ||
+      pending_.sanitized > 0) {
+    // Nothing was buffered, but ingest saw faults since the last block: emit
+    // an empty-block report so no fault goes unrecorded.
     HealthReport h;
     h.block_start = buffer_start_;
     h.shed_stage = shed_stage_.load(std::memory_order_relaxed);
-    EmitHealth(h);
-  } else if (pipelined()) {
-    DrainQueue();
+    RecordHealth(h, std::exchange(pending_, {}));
   }
 }
 
@@ -221,19 +218,12 @@ void StreamingMonitor::set_cpu_budget(double budget) {
   }
 }
 
-void StreamingMonitor::EmitHealth(HealthReport h) {
-  h.gap_count = pending_gap_count_;
-  h.gap_samples = pending_gap_samples_;
-  h.overlap_samples = pending_overlap_samples_;
-  h.sanitized_samples = pending_sanitized_;
-  pending_gap_count_ = 0;
-  pending_gap_samples_ = 0;
-  pending_overlap_samples_ = 0;
-  pending_sanitized_ = 0;
-  RecordHealth(h);
-}
-
-void StreamingMonitor::RecordHealth(const HealthReport& h) {
+void StreamingMonitor::RecordHealth(HealthReport h,
+                                    const IngestTallies& tallies) {
+  h.gap_count = tallies.gap_count;
+  h.gap_samples = tallies.gap_samples;
+  h.overlap_samples = tallies.overlap_samples;
+  h.sanitized_samples = tallies.sanitized;
   // Cumulative summary first (never evicted), then the bounded ring.
   ++summary_.blocks;
   summary_.samples += h.block_samples;
@@ -266,41 +256,14 @@ void StreamingMonitor::RecordHealth(const HealthReport& h) {
     health_.pop_front();
   }
   if (config_.sink != nullptr) config_.sink->OnHealth(health_.back());
-  if (on_health) on_health(health_.back());
-}
-
-void StreamingMonitor::EmitWifi(const phy80211::DecodedFrame& f) {
-  if (config_.sink != nullptr) config_.sink->OnWifiFrame(f);
-  if (on_wifi_frame) on_wifi_frame(f);
-}
-
-void StreamingMonitor::EmitBt(const phybt::DecodedBtPacket& p) {
-  if (config_.sink != nullptr) config_.sink->OnBtPacket(p);
-  if (on_bt_packet) on_bt_packet(p);
-}
-
-void StreamingMonitor::EmitZb(const phyzigbee::DecodedZbFrame& z) {
-  // No legacy callback existed for ZigBee — sink-only (the quartet never
-  // carried these; they were silently dropped before the sink API).
-  if (config_.sink != nullptr) config_.sink->OnZbFrame(z);
-}
-
-void StreamingMonitor::EmitEvent(const ProtocolEvent& e) {
-  // Generic protocol-tagged channel; sink-only (no legacy callback).
-  if (config_.sink != nullptr) config_.sink->OnEvent(e);
-}
-
-void StreamingMonitor::EmitDetection(const Detection& d) {
-  if (config_.sink != nullptr) config_.sink->OnDetection(d);
-  if (on_detection) on_detection(d);
 }
 
 void StreamingMonitor::ApplyShedStage() {
   RFDumpPipeline::Config cfg = config_.pipeline;
   cfg.supervisor = &supervisor_;  // breaker state survives reconstruction
   // The monitor controls execution and emission itself: analysis fan-out
-  // happens via AnalyzeDetections on the analyzer thread, and all emission
-  // goes through the monitor's ownership filter.
+  // happens via AnalyzeDetections in AnalyzeBlock, and all emission goes
+  // through the monitor's ownership filter.
   cfg.executor = nullptr;
   cfg.sink = nullptr;
   const int stage = shed_stage_.load(std::memory_order_relaxed);
@@ -325,10 +288,7 @@ void StreamingMonitor::UpdateShedding(double block_load,
                                       bool deadline_pressure,
                                       bool backpressure) {
   if (config_.cpu_budget <= 0.0) {
-    if (shed_stage_.load(std::memory_order_relaxed) != 0) {
-      shed_stage_.store(0, std::memory_order_relaxed);
-      if (!pipelined()) ApplyShedStage();
-    }
+    shed_stage_.store(0, std::memory_order_relaxed);
     return;
   }
   // A stalled ingest queue means analysis cannot keep up regardless of what
@@ -339,7 +299,6 @@ void StreamingMonitor::UpdateShedding(double block_load,
       const int stage = shed_stage_.fetch_add(1, std::memory_order_relaxed) + 1;
       StreamingMetrics::Get().shed_up.Inc();
       StreamingMetrics::Get().shed_stage.Set(stage);
-      if (!pipelined()) ApplyShedStage();
     }
   } else if (deadline_pressure) {
     // Deadline-aborted intervals mean measured load understates offered
@@ -354,7 +313,6 @@ void StreamingMonitor::UpdateShedding(double block_load,
       under_budget_blocks_ = 0;
       StreamingMetrics::Get().shed_down.Inc();
       StreamingMetrics::Get().shed_stage.Set(stage);
-      if (!pipelined()) ApplyShedStage();
     }
   } else {
     under_budget_blocks_ = 0;
@@ -362,143 +320,72 @@ void StreamingMonitor::UpdateShedding(double block_load,
 }
 
 void StreamingMonitor::ProcessBlock(bool final_block, bool gap_cut) {
-  if (pipelined()) {
-    EnqueueBlock(final_block, gap_cut);
-    return;
+  // Apply any shed-stage change the controller decided after the previous
+  // block: the ingest thread owns pipeline_, so the rebuild happens here,
+  // before detection.
+  if (shed_stage_.load(std::memory_order_relaxed) != applied_shed_stage_) {
+    ApplyShedStage();
+    StreamingMetrics::Get().shed_stage.Set(applied_shed_stage_);
   }
-  RFDUMP_TRACE_SPAN("streaming/block");
+
   const std::size_t take =
       final_block ? buffer_.size()
                   : std::min(buffer_.size(), config_.block_samples);
-  const auto block = dsp::const_sample_span(buffer_).first(take);
-
-  // Quarantine records want absolute stream positions; the pipeline works
-  // block-relative, so tell the supervisor where this block starts.
-  supervisor_.set_stream_offset(buffer_start_);
-
-  // The shed controller and the per-stage ledger read the same monotonic
-  // clock (obs::Stopwatch); this one covers the whole pipeline call, so
-  // block_load also charges any between-stage overhead to the block.
-  obs::Stopwatch block_watch;
-  MonitorReport report;
-  // Last-resort containment: per-interval stage boundaries catch demodulator
-  // and detector throws, so anything arriving here escaped from pipeline
-  // plumbing itself. The block's results are lost; the monitor is not.
-  try {
-    report = pipeline_.Process(block);
-  } catch (...) {
-    StreamingMetrics::Get().block_failures.Inc();
-    report = MonitorReport{};
-    report.samples_total = take;
-  }
-  const double block_cpu = block_watch.Seconds();
-  samples_processed_ += take;
-
-  // Supervision outcomes for this block: delta against the last snapshot of
-  // the (cumulative) supervisor counters.
-  const Supervisor::Counts now = supervisor_.counts();
-  const std::uint64_t d_supervised = now.invocations - last_counts_.invocations;
-  const std::uint64_t d_deadline = now.deadline - last_counts_.deadline;
-  const std::uint64_t d_exception = now.exception - last_counts_.exception;
-  const std::uint64_t d_skipped = now.skipped - last_counts_.skipped;
-  const std::uint64_t d_quarantined = now.quarantined - last_counts_.quarantined;
-  const std::uint64_t d_trips = now.breaker_trips - last_counts_.breaker_trips;
-  last_counts_ = now;
-
-  // Merge stage costs.
-  for (const auto& c : report.costs) {
-    auto it = std::find_if(costs_.begin(), costs_.end(),
-                           [&](const StageCost& s) { return s.name == c.name; });
-    if (it == costs_.end()) {
-      costs_.push_back(c);
-    } else {
-      it->cpu_seconds += c.cpu_seconds;
-      it->samples_in += c.samples_in;
-    }
-  }
-
-  // Block health: input-quality fields from the pipeline's scan, stream
-  // fields (gaps / overlaps / sanitization) from the ingest tallies.
-  HealthReport h;
-  if (!report.health.empty()) h = report.health.front();
-  h.block_start = buffer_start_;
-  h.block_samples = take;
-  h.shed_stage = shed_stage_.load(std::memory_order_relaxed);
-  h.block_load =
-      take > 0
-          ? block_cpu / (static_cast<double>(take) / dsp::kSampleRateHz)
-          : 0.0;
-  h.supervised_intervals = d_supervised;
-  h.deadline_intervals = d_deadline;
-  h.exception_intervals = d_exception;
-  h.skipped_intervals = d_skipped;
-  h.quarantined_intervals = d_quarantined;
-  h.breaker_trips = static_cast<std::uint32_t>(d_trips);
-  h.open_breakers = supervisor_.open_breakers();
-  const double block_load = h.block_load;
-  EmitHealth(h);
-  // A block has elapsed for breaker cooldown purposes (open -> half-open
-  // transitions happen here, after the block's health was reported).
-  supervisor_.OnBlockEnd();
-
-  // Ownership boundary: this block reports every result that *starts* in
-  // [emitted_until_, boundary); results starting inside the overlap tail are
-  // left to the next block, which sees them whole (the overlap exceeds the
-  // longest frame, so anything starting before the boundary also ends inside
-  // this block).
-  const std::int64_t base = buffer_start_;
   const std::size_t keep =
       final_block ? 0 : std::min(config_.overlap_samples, take);
-  const std::int64_t boundary =
-      base + static_cast<std::int64_t>(take - keep);
-  const auto owned = [&](std::int64_t start) {
-    return start >= emitted_until_ && start < boundary;
-  };
-  // A block cut short by a gap ends where delivered data ends: a frame that
-  // reaches the cut was truncated by the overrun unless it checked out in
-  // full (FCS/CRC), and a truncated frame is reported as a gap, not a frame.
-  const auto clear_of_cut = [&](std::int64_t end, bool verified) {
-    return !gap_cut || end < boundary || verified;
-  };
-  for (auto& f : report.wifi_frames) {
-    f.start_sample += base;
-    f.end_sample += base;
-    if (owned(f.start_sample) &&
-        clear_of_cut(f.end_sample, f.payload_decoded && f.fcs_ok)) {
-      EmitWifi(f);
+
+  BlockJob job;
+  job.samples = dsp::const_sample_span(buffer_).first(take);
+  job.base = buffer_start_;
+  job.boundary = buffer_start_ + static_cast<std::int64_t>(take - keep);
+  job.emit_from = emitted_until_;
+  job.gap_cut = gap_cut;
+  job.shed_stage = applied_shed_stage_;
+  job.tallies = std::exchange(pending_, {});
+
+  {
+    RFDUMP_TRACE_SPAN("streaming/detect");
+    obs::Stopwatch detect_watch;
+    try {
+      job.det = pipeline_.Detect(job.samples);
+    } catch (...) {
+      // Last-resort containment (see AnalyzeBlock): the block yields an
+      // empty report plus its health, and the monitor keeps running.
+      StreamingMetrics::Get().block_failures.Inc();
+      job.det = DetectOutput{};
+      job.det.report.samples_total = take;
     }
+    job.detect_seconds = detect_watch.Seconds();
   }
-  for (auto& p : report.bt_packets) {
-    p.start_sample += base;
-    p.end_sample += base;
-    if (owned(p.start_sample) && clear_of_cut(p.end_sample, p.packet.crc_ok)) {
-      EmitBt(p);
+  emitted_until_ = job.boundary;
+
+  if (pipelined()) {
+    // Double-buffering: the analyzer works on a copy while the next segment
+    // lands in buffer_. Moving the job keeps the copy's storage, so the
+    // view stays valid through the queue.
+    job.copy.assign(job.samples.begin(), job.samples.end());
+    job.samples = job.copy;
+    std::size_t depth;
+    {
+      std::unique_lock<std::mutex> lock(queue_mu_);
+      if (queue_.size() >= config_.max_queue_blocks) {
+        // Backpressure: ingest waits for analysis. The stall itself is the
+        // overload signal — the shed controller sees it with the next block.
+        backpressure_.store(true, std::memory_order_relaxed);
+        StreamingMetrics::Get().backpressure.Inc();
+        queue_space_cv_.wait(lock, [&] {
+          return queue_.size() < config_.max_queue_blocks;
+        });
+      }
+      queue_.push_back(std::move(job));
+      depth = queue_.size();
     }
-  }
-  for (auto& z : report.zb_frames) {
-    z.start_sample += base;
-    z.end_sample += base;
-    if (owned(z.start_sample) && clear_of_cut(z.end_sample, z.crc_ok)) {
-      EmitZb(z);
-    }
-  }
-  for (auto& e : report.events) {
-    e.start_sample += base;
-    e.end_sample += base;
-    if (owned(e.start_sample) && clear_of_cut(e.end_sample, e.crc_ok)) {
-      EmitEvent(e);
-    }
-  }
-  for (auto& d : report.detections) {
-    d.start_sample += base;
-    d.end_sample += base;
-    if (owned(d.start_sample)) EmitDetection(d);
+    StreamingMetrics::Get().queue_depth.Set(static_cast<double>(depth));
+    queue_cv_.notify_one();
+  } else {
+    AnalyzeBlock(job);  // in place: the job views buffer_
   }
 
-  emitted_until_ = boundary;
-  // Adapt the shed stage for the *next* block from this block's load.
-  UpdateShedding(block_load, /*deadline_pressure=*/d_deadline > 0,
-                 /*backpressure=*/false);
   if (final_block) {
     buffer_start_ += static_cast<std::int64_t>(take);
     buffer_.clear();
@@ -508,86 +395,6 @@ void StreamingMonitor::ProcessBlock(bool final_block, bool gap_cut) {
   buffer_.erase(buffer_.begin(),
                 buffer_.begin() + static_cast<std::ptrdiff_t>(consumed));
   buffer_start_ += static_cast<std::int64_t>(consumed);
-}
-
-// ------------------------------------------------------------ pipelined mode
-
-void StreamingMonitor::EnqueueBlock(bool final_block, bool gap_cut) {
-  RFDUMP_TRACE_SPAN("streaming/detect");
-  // Apply any shed-stage change the analyzer's controller decided since the
-  // previous block: the ingest thread owns pipeline_, so the rebuild happens
-  // here, before detection.
-  if (shed_stage_.load(std::memory_order_relaxed) != applied_shed_stage_) {
-    ApplyShedStage();
-    StreamingMetrics::Get().shed_stage.Set(applied_shed_stage_);
-  }
-
-  const std::size_t take =
-      final_block ? buffer_.size()
-                  : std::min(buffer_.size(), config_.block_samples);
-  const auto block = dsp::const_sample_span(buffer_).first(take);
-
-  BlockJob job;
-  job.base = buffer_start_;
-  job.take = take;
-  const std::size_t keep =
-      final_block ? 0 : std::min(config_.overlap_samples, take);
-  job.boundary = buffer_start_ + static_cast<std::int64_t>(take - keep);
-  job.emit_from = emitted_until_;
-  job.gap_cut = gap_cut;
-  job.shed_stage = applied_shed_stage_;
-  job.gap_count = pending_gap_count_;
-  job.gap_samples = pending_gap_samples_;
-  job.overlap_samples = pending_overlap_samples_;
-  job.sanitized = pending_sanitized_;
-  pending_gap_count_ = 0;
-  pending_gap_samples_ = 0;
-  pending_overlap_samples_ = 0;
-  pending_sanitized_ = 0;
-
-  obs::Stopwatch detect_watch;
-  try {
-    job.det = pipeline_.Detect(block);
-  } catch (...) {
-    // Same last-resort containment as the serial path: the block yields an
-    // empty report (plus health/tallies), the monitor keeps running.
-    StreamingMetrics::Get().block_failures.Inc();
-    job.det = DetectOutput{};
-    job.det.report.samples_total = take;
-  }
-  job.detect_seconds = detect_watch.Seconds();
-  job.samples.assign(block.begin(), block.end());
-
-  // Ingest state advances NOW — this is the double-buffering: the next
-  // segment lands in a clean buffer while the analyzer works on the copy.
-  emitted_until_ = job.boundary;
-  if (final_block) {
-    buffer_start_ += static_cast<std::int64_t>(take);
-    buffer_.clear();
-  } else {
-    const std::size_t consumed = take - keep;
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed));
-    buffer_start_ += static_cast<std::int64_t>(consumed);
-  }
-
-  std::size_t depth;
-  {
-    std::unique_lock<std::mutex> lock(queue_mu_);
-    if (queue_.size() >= config_.max_queue_blocks) {
-      // Backpressure: ingest waits for analysis. The stall itself is the
-      // overload signal — the shed controller sees it with the next block.
-      backpressure_.store(true, std::memory_order_relaxed);
-      StreamingMetrics::Get().backpressure.Inc();
-      queue_space_cv_.wait(lock, [&] {
-        return queue_.size() < config_.max_queue_blocks;
-      });
-    }
-    queue_.push_back(std::move(job));
-    depth = queue_.size();
-  }
-  StreamingMetrics::Get().queue_depth.Set(static_cast<double>(depth));
-  queue_cv_.notify_one();
 }
 
 void StreamingMonitor::AnalyzerLoop() {
@@ -622,34 +429,35 @@ void StreamingMonitor::DrainQueue() {
 void StreamingMonitor::AnalyzeBlock(BlockJob& job) {
   RFDUMP_TRACE_SPAN("streaming/block");
   // All Admit/Finish calls for this block happen on this thread before the
-  // next block starts, so the offset is stable for its quarantine records.
+  // next block starts, so the offset is stable for its quarantine records
+  // (the pipeline works block-relative; quarantine wants absolute positions).
   supervisor_.set_stream_offset(job.base);
+  const std::size_t take = job.samples.size();
 
   obs::Stopwatch analyze_watch;
   MonitorReport report;
+  // Last-resort containment: per-interval stage boundaries catch demodulator
+  // and detector throws, so anything arriving here escaped from pipeline
+  // plumbing itself. The block's results are lost; the monitor is not.
   try {
-    report = AnalyzeDetections(std::move(job.det),
-                               dsp::const_sample_span(job.samples),
+    report = AnalyzeDetections(std::move(job.det), job.samples,
                                executor_.get(), nullptr);
   } catch (...) {
     StreamingMetrics::Get().block_failures.Inc();
     report = MonitorReport{};
-    report.samples_total = job.take;
+    report.samples_total = take;
   }
   // The block's critical-path cost: detect (ingest thread) + analyze (this
-  // thread). With a wide executor the analyze term is wall time over the
-  // fan-out, which is what "can the monitor keep up" actually measures.
+  // thread), on the same monotonic clock as the per-stage ledger. With a
+  // wide executor the analyze term is wall time over the fan-out, which is
+  // what "can the monitor keep up" actually measures.
   const double block_cpu = job.detect_seconds + analyze_watch.Seconds();
-  samples_processed_ += job.take;
+  samples_processed_ += take;
 
+  // Supervision outcomes for this block: delta against the last snapshot of
+  // the (cumulative) supervisor counters.
   const Supervisor::Counts now = supervisor_.counts();
-  const std::uint64_t d_supervised = now.invocations - last_counts_.invocations;
   const std::uint64_t d_deadline = now.deadline - last_counts_.deadline;
-  const std::uint64_t d_exception = now.exception - last_counts_.exception;
-  const std::uint64_t d_skipped = now.skipped - last_counts_.skipped;
-  const std::uint64_t d_quarantined = now.quarantined - last_counts_.quarantined;
-  const std::uint64_t d_trips = now.breaker_trips - last_counts_.breaker_trips;
-  last_counts_ = now;
 
   for (const auto& c : report.costs) {
     auto it = std::find_if(costs_.begin(), costs_.end(),
@@ -662,74 +470,86 @@ void StreamingMonitor::AnalyzeBlock(BlockJob& job) {
     }
   }
 
+  // Block health: input-quality fields from the pipeline's scan, stream
+  // fields (gaps / overlaps / sanitization) from the ingest tallies.
   HealthReport h;
   if (!report.health.empty()) h = report.health.front();
   h.block_start = job.base;
-  h.block_samples = job.take;
+  h.block_samples = take;
   h.shed_stage = job.shed_stage;
   h.block_load =
-      job.take > 0
-          ? block_cpu / (static_cast<double>(job.take) / dsp::kSampleRateHz)
-          : 0.0;
-  h.gap_count = job.gap_count;
-  h.gap_samples = job.gap_samples;
-  h.overlap_samples = job.overlap_samples;
-  h.sanitized_samples = job.sanitized;
-  h.supervised_intervals = d_supervised;
+      take > 0 ? block_cpu / (static_cast<double>(take) / dsp::kSampleRateHz)
+               : 0.0;
+  h.supervised_intervals = now.invocations - last_counts_.invocations;
   h.deadline_intervals = d_deadline;
-  h.exception_intervals = d_exception;
-  h.skipped_intervals = d_skipped;
-  h.quarantined_intervals = d_quarantined;
-  h.breaker_trips = static_cast<std::uint32_t>(d_trips);
+  h.exception_intervals = now.exception - last_counts_.exception;
+  h.skipped_intervals = now.skipped - last_counts_.skipped;
+  h.quarantined_intervals = now.quarantined - last_counts_.quarantined;
+  h.breaker_trips = static_cast<std::uint32_t>(now.breaker_trips -
+                                               last_counts_.breaker_trips);
   h.open_breakers = supervisor_.open_breakers();
+  last_counts_ = now;
   const double block_load = h.block_load;
-  RecordHealth(h);
+  RecordHealth(h, job.tallies);
+  // A block has elapsed for breaker cooldown purposes (open -> half-open
+  // transitions happen here, after the block's health was reported).
   supervisor_.OnBlockEnd();
 
-  // Same ownership filter as the serial path, from the window the ingest
-  // thread computed when it packaged the block.
-  const auto owned = [&](std::int64_t start) {
-    return start >= job.emit_from && start < job.boundary;
-  };
-  const auto clear_of_cut = [&](std::int64_t end, bool verified) {
-    return !job.gap_cut || end < job.boundary || verified;
-  };
-  const std::int64_t base = job.base;
-  for (auto& f : report.wifi_frames) {
-    f.start_sample += base;
-    f.end_sample += base;
-    if (owned(f.start_sample) &&
-        clear_of_cut(f.end_sample, f.payload_decoded && f.fcs_ok)) {
-      EmitWifi(f);
+  // Ownership boundary: this block reports every result that *starts* in
+  // [emit_from, boundary); results starting inside the overlap tail are
+  // left to the next block, which sees them whole (the overlap exceeds the
+  // longest frame, so anything starting before the boundary also ends inside
+  // this block).
+  if (ResultSink* sink = config_.sink) {
+    const auto owned = [&](std::int64_t start) {
+      return start >= job.emit_from && start < job.boundary;
+    };
+    // A block cut short by a gap ends where delivered data ends: a frame that
+    // reaches the cut was truncated by the overrun unless it checked out in
+    // full (FCS/CRC), and a truncated frame is reported as a gap, not a frame.
+    const auto clear_of_cut = [&](std::int64_t end, bool verified) {
+      return !job.gap_cut || end < job.boundary || verified;
+    };
+    const std::int64_t base = job.base;
+    for (auto& f : report.wifi_frames) {
+      f.start_sample += base;
+      f.end_sample += base;
+      if (owned(f.start_sample) &&
+          clear_of_cut(f.end_sample, f.payload_decoded && f.fcs_ok)) {
+        sink->OnWifiFrame(f);
+      }
     }
-  }
-  for (auto& p : report.bt_packets) {
-    p.start_sample += base;
-    p.end_sample += base;
-    if (owned(p.start_sample) && clear_of_cut(p.end_sample, p.packet.crc_ok)) {
-      EmitBt(p);
+    for (auto& p : report.bt_packets) {
+      p.start_sample += base;
+      p.end_sample += base;
+      if (owned(p.start_sample) &&
+          clear_of_cut(p.end_sample, p.packet.crc_ok)) {
+        sink->OnBtPacket(p);
+      }
     }
-  }
-  for (auto& z : report.zb_frames) {
-    z.start_sample += base;
-    z.end_sample += base;
-    if (owned(z.start_sample) && clear_of_cut(z.end_sample, z.crc_ok)) {
-      EmitZb(z);
+    for (auto& z : report.zb_frames) {
+      z.start_sample += base;
+      z.end_sample += base;
+      if (owned(z.start_sample) && clear_of_cut(z.end_sample, z.crc_ok)) {
+        sink->OnZbFrame(z);
+      }
     }
-  }
-  for (auto& e : report.events) {
-    e.start_sample += base;
-    e.end_sample += base;
-    if (owned(e.start_sample) && clear_of_cut(e.end_sample, e.crc_ok)) {
-      EmitEvent(e);
+    for (auto& e : report.events) {
+      e.start_sample += base;
+      e.end_sample += base;
+      if (owned(e.start_sample) && clear_of_cut(e.end_sample, e.crc_ok)) {
+        sink->OnEvent(e);
+      }
     }
-  }
-  for (auto& d : report.detections) {
-    d.start_sample += base;
-    d.end_sample += base;
-    if (owned(d.start_sample)) EmitDetection(d);
+    for (auto& d : report.detections) {
+      d.start_sample += base;
+      d.end_sample += base;
+      if (owned(d.start_sample)) sink->OnDetection(d);
+    }
   }
 
+  // Adapt the shed stage for the *next* block from this block's load; the
+  // ingest side applies it before detecting that block.
   UpdateShedding(block_load, /*deadline_pressure=*/d_deadline > 0,
                  backpressure_.exchange(false, std::memory_order_relaxed));
 }

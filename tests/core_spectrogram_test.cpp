@@ -83,9 +83,7 @@ TEST(ZigbeePipeline, DetectAndDecodeEndToEnd) {
 
   core::RFDumpPipeline::Config pcfg;
   pcfg.zigbee_detector = true;
-  pcfg.analysis.zigbee_demod = true;
-  pcfg.analysis.wifi_demod = false;
-  pcfg.analysis.bt_demods = 0;
+  pcfg.analysis.bundle_mask = core::BundleBit(core::Protocol::kZigbee);
   core::RFDumpPipeline pipeline(pcfg);
   const auto report = pipeline.Process(x);
 

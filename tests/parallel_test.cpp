@@ -148,7 +148,6 @@ TEST(Parallel, PipelineReportIdenticalAcrossWidths) {
     core::CollectingSink sink;
     core::RFDumpPipeline::Config cfg;
     cfg.zigbee_detector = true;
-    cfg.analysis.zigbee_demod = true;
     cfg.executor = &executor;
     cfg.sink = &sink;
     const auto report = core::RFDumpPipeline(cfg).Process(x);
@@ -418,36 +417,51 @@ TEST(Parallel, PushIsPushSegmentWithAutoTimestamp) {
   EXPECT_EQ(Fingerprint(a), Fingerprint(b));
 }
 
-TEST(Parallel, SinkAndLegacyCallbacksSeeTheSameResults) {
-  // Back-compat contract: the deprecated callback quartet keeps firing, in
-  // the same order, alongside a configured sink (ZigBee excepted — the
-  // quartet never had a ZigBee slot).
+TEST(Parallel, FunctionSinkSeesWhatCollectingSinkSees) {
+  // FunctionSink is how a lambda-style consumer attaches to the monitor; the
+  // same stream must reach it exactly as it reaches a CollectingSink, slot
+  // by slot and in the same order.
   const auto x = MixedEther(/*seed=*/19);
   core::StreamingMonitor::Config mcfg;
   mcfg.block_samples = 400'000;
   mcfg.overlap_samples = 160'000;
-  core::CollectingSink sink;
-  mcfg.sink = &sink;
-  core::StreamingMonitor monitor(mcfg);
-  core::CollectingSink legacy;
-  monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
-    legacy.OnWifiFrame(f);
-  };
-  monitor.on_bt_packet = [&](const rfdump::phybt::DecodedBtPacket& p) {
-    legacy.OnBtPacket(p);
-  };
-  monitor.on_detection = [&](const core::Detection& d) {
-    legacy.OnDetection(d);
-  };
-  monitor.on_health = [&](const core::HealthReport& h) { legacy.OnHealth(h); };
-  monitor.Push(x);
-  monitor.Flush();
 
-  ASSERT_FALSE(sink.wifi_frames.empty());
-  EXPECT_EQ(Fps(sink.wifi_frames), Fps(legacy.wifi_frames));
-  EXPECT_EQ(Fps(sink.bt_packets), Fps(legacy.bt_packets));
-  EXPECT_EQ(Fps(sink.detections), Fps(legacy.detections));
-  EXPECT_EQ(sink.health.size(), legacy.health.size());
+  core::CollectingSink direct;
+  {
+    auto cfg = mcfg;
+    cfg.sink = &direct;
+    core::StreamingMonitor monitor(cfg);
+    monitor.Push(x);
+    monitor.Flush();
+  }
+  core::CollectingSink forwarded;
+  core::FunctionSink sink;
+  sink.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
+    forwarded.OnWifiFrame(f);
+  };
+  sink.on_bt_packet = [&](const rfdump::phybt::DecodedBtPacket& p) {
+    forwarded.OnBtPacket(p);
+  };
+  sink.on_zb_frame = [&](const rfdump::phyzigbee::DecodedZbFrame& z) {
+    forwarded.OnZbFrame(z);
+  };
+  sink.on_event = [&](const core::ProtocolEvent& e) { forwarded.OnEvent(e); };
+  sink.on_detection = [&](const core::Detection& d) {
+    forwarded.OnDetection(d);
+  };
+  sink.on_health = [&](const core::HealthReport& h) { forwarded.OnHealth(h); };
+  {
+    auto cfg = mcfg;
+    cfg.sink = &sink;
+    core::StreamingMonitor monitor(cfg);
+    monitor.Push(x);
+    monitor.Flush();
+  }
+
+  ASSERT_FALSE(direct.wifi_frames.empty());
+  EXPECT_EQ(Fingerprint(forwarded), Fingerprint(direct));
+  EXPECT_EQ(forwarded.events.size(), direct.events.size());
+  EXPECT_EQ(forwarded.health.size(), direct.health.size());
 }
 
 // A sink that trips if the monitor ever delivers two results concurrently.
@@ -502,11 +516,10 @@ class ReentryGuardSink final : public core::ResultSink {
   std::atomic<bool> busy_{false};
 };
 
-TEST(Parallel, CollectingSinkAndLegacyShimsUnderConcurrentDelivery) {
+TEST(Parallel, CollectingSinkUnderConcurrentDelivery) {
   // A pipelined monitor (worker threads + queued blocks) must deliver to one
-  // unsynchronised CollectingSink and to the legacy callback shims exactly
-  // what the serial run produces: same results, same order, never two calls
-  // at once.
+  // unsynchronised CollectingSink exactly what the width-1 run produces:
+  // same results, same order, never two calls at once.
   const auto x = MixedEther(/*seed=*/23);
   std::vector<std::string> baseline;
   for (const int width : kWidths) {
@@ -518,19 +531,6 @@ TEST(Parallel, CollectingSinkAndLegacyShimsUnderConcurrentDelivery) {
     ReentryGuardSink sink;
     mcfg.sink = &sink;
     core::StreamingMonitor monitor(mcfg);
-    core::CollectingSink legacy;
-    monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
-      legacy.OnWifiFrame(f);
-    };
-    monitor.on_bt_packet = [&](const rfdump::phybt::DecodedBtPacket& p) {
-      legacy.OnBtPacket(p);
-    };
-    monitor.on_detection = [&](const core::Detection& d) {
-      legacy.OnDetection(d);
-    };
-    monitor.on_health = [&](const core::HealthReport& h) {
-      legacy.OnHealth(h);
-    };
     monitor.Push(x);
     monitor.Flush();
 
@@ -543,12 +543,6 @@ TEST(Parallel, CollectingSinkAndLegacyShimsUnderConcurrentDelivery) {
     } else {
       EXPECT_EQ(fp, baseline) << "sink results diverged at width " << width;
     }
-    // The deprecated quartet mirrors the sink at every width (no ZigBee
-    // slot — the quartet never had one).
-    EXPECT_EQ(Fps(sink.inner.wifi_frames), Fps(legacy.wifi_frames));
-    EXPECT_EQ(Fps(sink.inner.bt_packets), Fps(legacy.bt_packets));
-    EXPECT_EQ(Fps(sink.inner.detections), Fps(legacy.detections));
-    EXPECT_EQ(sink.inner.health.size(), legacy.health.size());
   }
 }
 

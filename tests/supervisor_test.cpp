@@ -13,10 +13,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <initializer_list>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "rfdump/core/result_sink.hpp"
 #include "rfdump/core/streaming.hpp"
 #include "rfdump/core/supervisor.hpp"
 #include "rfdump/emu/ether.hpp"
@@ -339,6 +342,89 @@ TEST(Supervision, ConcurrentSuperviseIsRaceFree) {
 }
 
 // -------------------------------------------------- end-to-end (streaming)
+//
+// Every scenario runs at analysis widths 1 (inline) and 3 (analyzer thread +
+// executor). One analysis path serves both, so the emitted results and the
+// supervisor's totals must be identical across widths.
+
+constexpr int kWidths[] = {1, 3};
+
+/// Everything a monitor emitted that does not depend on timing (block_load
+/// is wall-clock and excluded), one line per entry.
+std::vector<std::string> Emitted(const core::CollectingSink& sink) {
+  std::vector<std::string> out;
+  const auto line = [&out](const char* kind,
+                           std::initializer_list<std::int64_t> fields) {
+    std::string l = kind;
+    for (const auto f : fields) {
+      l += ' ';
+      l += std::to_string(f);
+    }
+    out.push_back(std::move(l));
+  };
+  for (const auto& f : sink.wifi_frames) {
+    line("wifi", {f.start_sample, f.end_sample, f.fcs_ok,
+                  static_cast<std::int64_t>(f.mpdu.size())});
+  }
+  for (const auto& p : sink.bt_packets) {
+    line("bt", {p.channel_index, p.start_sample, p.end_sample,
+                p.packet.crc_ok});
+  }
+  for (const auto& e : sink.events) {
+    line("event", {static_cast<std::int64_t>(e.protocol), e.start_sample,
+                   e.end_sample, e.crc_ok});
+  }
+  for (const auto& d : sink.detections) {
+    line("detection", {static_cast<std::int64_t>(d.protocol), d.start_sample,
+                       d.end_sample});
+  }
+  for (const auto& h : sink.health) {
+    line("health",
+         {h.block_start, static_cast<std::int64_t>(h.block_samples),
+          h.shed_stage,
+          static_cast<std::int64_t>(h.supervised_intervals),
+          static_cast<std::int64_t>(h.deadline_intervals),
+          static_cast<std::int64_t>(h.exception_intervals),
+          static_cast<std::int64_t>(h.skipped_intervals),
+          static_cast<std::int64_t>(h.quarantined_intervals),
+          h.breaker_trips, h.open_breakers});
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> Totals(const core::Supervisor::Counts& c) {
+  return {c.invocations,   c.ok,
+          c.deadline,      c.exception,
+          c.skipped,       c.detector_exceptions,
+          c.breaker_trips, c.breaker_closes,
+          c.quarantined,   c.budget_checks,
+          c.budget_charged};
+}
+
+/// Holds the first width's run and compares every later width against it.
+class SameAtEveryWidth {
+ public:
+  void Check(int threads, const core::CollectingSink& sink,
+             const core::Supervisor::Counts& counts) {
+    auto emitted = Emitted(sink);
+    auto totals = Totals(counts);
+    if (first_) {
+      first_ = false;
+      emitted_ = std::move(emitted);
+      totals_ = std::move(totals);
+      return;
+    }
+    EXPECT_EQ(emitted, emitted_)
+        << "emitted results differ at threads " << threads;
+    EXPECT_EQ(totals, totals_)
+        << "supervisor counts differ at threads " << threads;
+  }
+
+ private:
+  bool first_ = true;
+  std::vector<std::string> emitted_;
+  std::vector<std::uint64_t> totals_;
+};
 
 TEST(SupervisedStreaming, ThrowingDemodulatorIsContainedAndBreakerRecovers) {
   const auto samples = MixedEther(/*wifi_pings=*/16, /*bt_pings=*/48,
@@ -347,131 +433,132 @@ TEST(SupervisedStreaming, ThrowingDemodulatorIsContainedAndBreakerRecovers) {
   const auto cutoff = static_cast<std::int64_t>(samples.size() / 2);
 
   // Control run: same band, no faults.
-  std::size_t control_wifi = 0, control_bt = 0;
+  core::CollectingSink control;
   {
-    core::StreamingMonitor control(SmallBlocks());
-    control.on_wifi_frame =
-        [&](const rfdump::phy80211::DecodedFrame&) { ++control_wifi; };
-    control.on_bt_packet =
-        [&](const rfdump::phybt::DecodedBtPacket&) { ++control_bt; };
-    DriveWhole(control, span);
-    ASSERT_GT(control_wifi, 0u);
-    ASSERT_GT(control_bt, 0u);
+    auto cfg = SmallBlocks();
+    cfg.sink = &control;
+    core::StreamingMonitor monitor(cfg);
+    DriveWhole(monitor, span);
+    ASSERT_GT(control.wifi_frames.size(), 0u);
+    ASSERT_GT(control.bt_packets.size(), 0u);
   }
 
-  namespace obs = rfdump::obs;
-  auto& reg = obs::Registry::Default();
-  const auto exc0 =
-      reg.CounterValue("rfdump_supervisor_outcomes_total{outcome=\"exception\"}");
-  const auto skip0 =
-      reg.CounterValue("rfdump_supervisor_outcomes_total{outcome=\"skipped\"}");
-  const auto trips0 = reg.CounterValue(
-      "rfdump_supervisor_breaker_trips_total{protocol=\"802.11b\"}");
-  const auto closes0 =
-      reg.CounterValue("rfdump_supervisor_breaker_closes_total");
-  const auto quar0 =
-      reg.CounterValue("rfdump_supervisor_quarantined_total");
+  SameAtEveryWidth across;
+  for (const int threads : kWidths) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    namespace obs = rfdump::obs;
+    auto& reg = obs::Registry::Default();
+    const auto exc0 = reg.CounterValue(
+        "rfdump_supervisor_outcomes_total{outcome=\"exception\"}");
+    const auto skip0 = reg.CounterValue(
+        "rfdump_supervisor_outcomes_total{outcome=\"skipped\"}");
+    const auto trips0 = reg.CounterValue(
+        "rfdump_supervisor_breaker_trips_total{protocol=\"802.11b\"}");
+    const auto closes0 =
+        reg.CounterValue("rfdump_supervisor_breaker_closes_total");
+    const auto quar0 =
+        reg.CounterValue("rfdump_supervisor_quarantined_total");
 
-  // Impaired run: the 802.11 demodulator "crashes" on every interval in the
-  // first half of the stream, then behaves.
-  auto mcfg = SmallBlocks();
-  mcfg.supervisor.breaker_window = 4;
-  mcfg.supervisor.breaker_trip_failures = 2;
-  mcfg.supervisor.breaker_cooldown_blocks = 1;
-  mcfg.supervisor.fault_hook = [cutoff](core::Protocol p, std::int64_t start,
-                                        util::WorkBudget&) {
-    if (p == core::Protocol::kWifi80211b && start < cutoff) {
-      throw std::runtime_error("injected demodulator crash");
+    // Impaired run: the 802.11 demodulator "crashes" on every interval in
+    // the first half of the stream, then behaves.
+    auto mcfg = SmallBlocks();
+    mcfg.threads = threads;
+    mcfg.supervisor.breaker_window = 4;
+    mcfg.supervisor.breaker_trip_failures = 2;
+    mcfg.supervisor.breaker_cooldown_blocks = 1;
+    mcfg.supervisor.fault_hook = [cutoff](core::Protocol p,
+                                          std::int64_t start,
+                                          util::WorkBudget&) {
+      if (p == core::Protocol::kWifi80211b && start < cutoff) {
+        throw std::runtime_error("injected demodulator crash");
+      }
+    };
+    core::CollectingSink sink;
+    mcfg.sink = &sink;
+    core::StreamingMonitor monitor(mcfg);
+    DriveWhole(monitor, span);  // completing at all is the headline assertion
+
+    // The other protocol decoded at exactly the unimpaired rate.
+    EXPECT_EQ(sink.bt_packets.size(), control.bt_packets.size());
+
+    // Failures were contained and counted, the breaker tripped, and after
+    // the faulty region ended a half-open probe closed it again.
+    const auto counts = monitor.supervisor().counts();
+    EXPECT_GT(counts.exception, 0u);
+    EXPECT_GT(counts.skipped, 0u);  // open-breaker intervals not attempted
+    EXPECT_GE(counts.breaker_trips, 1u);
+    EXPECT_GE(counts.breaker_closes, 1u);
+    EXPECT_EQ(monitor.supervisor().breaker_state(core::Protocol::kWifi80211b),
+              core::BreakerState::kClosed);
+    EXPECT_EQ(monitor.supervisor().open_breakers(), 0);
+
+    // 802.11 decoding resumed after recovery: every decoded frame is post-
+    // cutoff, and there are some.
+    const auto& wifi_frames = sink.wifi_frames;
+    EXPECT_GT(wifi_frames.size(), 0u);
+    EXPECT_LT(wifi_frames.size(), control.wifi_frames.size());
+    for (const auto& f : wifi_frames) EXPECT_GE(f.start_sample, cutoff);
+
+    // Quarantine holds the poison intervals: right protocol, right outcome,
+    // absolute positions inside the faulty region, non-empty snapshots.
+    const auto q = monitor.supervisor().quarantine();
+    ASSERT_FALSE(q.empty());
+    for (const auto& rec : q) {
+      EXPECT_EQ(rec.protocol, core::Protocol::kWifi80211b);
+      EXPECT_EQ(rec.outcome, core::Outcome::kException);
+      EXPECT_EQ(rec.error, "injected demodulator crash");
+      EXPECT_FALSE(rec.snapshot.empty());
+      EXPECT_LT(rec.start_sample, cutoff);
+      EXPECT_GT(rec.end_sample, rec.start_sample);
     }
-  };
-  core::StreamingMonitor monitor(mcfg);
-  std::size_t faulty_bt = 0;
-  std::vector<rfdump::phy80211::DecodedFrame> wifi_frames;
-  monitor.on_bt_packet =
-      [&](const rfdump::phybt::DecodedBtPacket&) { ++faulty_bt; };
-  monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
-    wifi_frames.push_back(f);
-  };
-  DriveWhole(monitor, span);  // completing at all is the headline assertion
 
-  // The other protocol decoded at exactly the unimpaired rate.
-  EXPECT_EQ(faulty_bt, control_bt);
-
-  // Failures were contained and counted, the breaker tripped, and after the
-  // faulty region ended a half-open probe closed it again.
-  const auto counts = monitor.supervisor().counts();
-  EXPECT_GT(counts.exception, 0u);
-  EXPECT_GT(counts.skipped, 0u);  // open-breaker intervals were not attempted
-  EXPECT_GE(counts.breaker_trips, 1u);
-  EXPECT_GE(counts.breaker_closes, 1u);
-  EXPECT_EQ(monitor.supervisor().breaker_state(core::Protocol::kWifi80211b),
-            core::BreakerState::kClosed);
-  EXPECT_EQ(monitor.supervisor().open_breakers(), 0);
-
-  // 802.11 decoding resumed after recovery: every decoded frame is post-
-  // cutoff, and there are some.
-  EXPECT_GT(wifi_frames.size(), 0u);
-  EXPECT_LT(wifi_frames.size(), control_wifi);
-  for (const auto& f : wifi_frames) EXPECT_GE(f.start_sample, cutoff);
-
-  // Quarantine holds the poison intervals: right protocol, right outcome,
-  // absolute positions inside the faulty region, non-empty snapshots.
-  const auto q = monitor.supervisor().quarantine();
-  ASSERT_FALSE(q.empty());
-  for (const auto& rec : q) {
-    EXPECT_EQ(rec.protocol, core::Protocol::kWifi80211b);
-    EXPECT_EQ(rec.outcome, core::Outcome::kException);
-    EXPECT_EQ(rec.error, "injected demodulator crash");
-    EXPECT_FALSE(rec.snapshot.empty());
-    EXPECT_LT(rec.start_sample, cutoff);
-    EXPECT_GT(rec.end_sample, rec.start_sample);
-  }
-
-  // HealthReports and the cumulative summary agree with the supervisor.
-  std::uint64_t h_sup = 0, h_exc = 0, h_skip = 0, h_quar = 0, h_trips = 0;
-  for (const auto& h : monitor.health()) {
-    h_sup += h.supervised_intervals;
-    h_exc += h.exception_intervals;
-    h_skip += h.skipped_intervals;
-    h_quar += h.quarantined_intervals;
-    h_trips += h.breaker_trips;
-  }
-  EXPECT_EQ(h_sup, counts.invocations);
-  EXPECT_EQ(h_exc, counts.exception);
-  EXPECT_EQ(h_skip, counts.skipped);
-  EXPECT_EQ(h_quar, counts.quarantined);
-  EXPECT_EQ(h_trips, counts.breaker_trips);
-  const auto& sum = monitor.summary();
-  EXPECT_EQ(sum.supervised_intervals, counts.invocations);
-  EXPECT_EQ(sum.exception_intervals, counts.exception);
-  EXPECT_EQ(sum.skipped_intervals, counts.skipped);
-  EXPECT_EQ(sum.quarantined_intervals, counts.quarantined);
-  EXPECT_EQ(sum.breaker_trips, counts.breaker_trips);
-  EXPECT_EQ(sum.deadline_intervals, 0u);
+    // HealthReports and the cumulative summary agree with the supervisor.
+    std::uint64_t h_sup = 0, h_exc = 0, h_skip = 0, h_quar = 0, h_trips = 0;
+    for (const auto& h : monitor.health()) {
+      h_sup += h.supervised_intervals;
+      h_exc += h.exception_intervals;
+      h_skip += h.skipped_intervals;
+      h_quar += h.quarantined_intervals;
+      h_trips += h.breaker_trips;
+    }
+    EXPECT_EQ(h_sup, counts.invocations);
+    EXPECT_EQ(h_exc, counts.exception);
+    EXPECT_EQ(h_skip, counts.skipped);
+    EXPECT_EQ(h_quar, counts.quarantined);
+    EXPECT_EQ(h_trips, counts.breaker_trips);
+    const auto& sum = monitor.summary();
+    EXPECT_EQ(sum.supervised_intervals, counts.invocations);
+    EXPECT_EQ(sum.exception_intervals, counts.exception);
+    EXPECT_EQ(sum.skipped_intervals, counts.skipped);
+    EXPECT_EQ(sum.quarantined_intervals, counts.quarantined);
+    EXPECT_EQ(sum.breaker_trips, counts.breaker_trips);
+    EXPECT_EQ(sum.deadline_intervals, 0u);
 
 #if RFDUMP_OBS_ENABLED
-  // The rfdump_supervisor_* metrics tick in the same code paths.
-  EXPECT_EQ(
-      reg.CounterValue(
-          "rfdump_supervisor_outcomes_total{outcome=\"exception\"}") - exc0,
-      counts.exception);
-  EXPECT_EQ(
-      reg.CounterValue(
-          "rfdump_supervisor_outcomes_total{outcome=\"skipped\"}") - skip0,
-      counts.skipped);
-  EXPECT_EQ(
-      reg.CounterValue(
-          "rfdump_supervisor_breaker_trips_total{protocol=\"802.11b\"}") -
-          trips0,
-      counts.breaker_trips);
-  EXPECT_EQ(reg.CounterValue("rfdump_supervisor_breaker_closes_total") -
-                closes0,
-            counts.breaker_closes);
-  EXPECT_EQ(reg.CounterValue("rfdump_supervisor_quarantined_total") - quar0,
-            counts.quarantined);
+    // The rfdump_supervisor_* metrics tick in the same code paths.
+    EXPECT_EQ(
+        reg.CounterValue(
+            "rfdump_supervisor_outcomes_total{outcome=\"exception\"}") - exc0,
+        counts.exception);
+    EXPECT_EQ(
+        reg.CounterValue(
+            "rfdump_supervisor_outcomes_total{outcome=\"skipped\"}") - skip0,
+        counts.skipped);
+    EXPECT_EQ(
+        reg.CounterValue(
+            "rfdump_supervisor_breaker_trips_total{protocol=\"802.11b\"}") -
+            trips0,
+        counts.breaker_trips);
+    EXPECT_EQ(reg.CounterValue("rfdump_supervisor_breaker_closes_total") -
+                  closes0,
+              counts.breaker_closes);
+    EXPECT_EQ(reg.CounterValue("rfdump_supervisor_quarantined_total") - quar0,
+              counts.quarantined);
 #else
-  (void)exc0; (void)skip0; (void)trips0; (void)closes0; (void)quar0;
+    (void)exc0; (void)skip0; (void)trips0; (void)closes0; (void)quar0;
 #endif
+    across.Check(threads, sink, counts);
+  }
 }
 
 TEST(SupervisedStreaming, DeadlineBlowingIntervalAbortsCleanly) {
@@ -479,48 +566,53 @@ TEST(SupervisedStreaming, DeadlineBlowingIntervalAbortsCleanly) {
                                   /*seed=*/72);
   const auto span = dsp::const_sample_span(samples);
 
-  std::size_t control_bt = 0;
+  core::CollectingSink control;
   {
-    core::StreamingMonitor control(SmallBlocks());
-    control.on_bt_packet =
-        [&](const rfdump::phybt::DecodedBtPacket&) { ++control_bt; };
-    DriveWhole(control, span);
-    ASSERT_GT(control_bt, 0u);
+    auto cfg = SmallBlocks();
+    cfg.sink = &control;
+    core::StreamingMonitor monitor(cfg);
+    DriveWhole(monitor, span);
+    ASSERT_GT(control.bt_packets.size(), 0u);
   }
 
-  // Every 802.11 interval spins until the (deterministic, sample-count)
-  // budget expires — a runaway decode loop, without wall-clock flakiness.
-  auto mcfg = SmallBlocks();
-  mcfg.supervisor.demod_limits.max_samples = 10'000'000;
-  mcfg.supervisor.fault_hook = [](core::Protocol p, std::int64_t,
-                                  util::WorkBudget& b) {
-    if (p == core::Protocol::kWifi80211b) {
-      while (b.Charge(65'536)) {
+  SameAtEveryWidth across;
+  for (const int threads : kWidths) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    // Every 802.11 interval spins until the (deterministic, sample-count)
+    // budget expires — a runaway decode loop, without wall-clock flakiness.
+    auto mcfg = SmallBlocks();
+    mcfg.threads = threads;
+    mcfg.supervisor.demod_limits.max_samples = 10'000'000;
+    mcfg.supervisor.fault_hook = [](core::Protocol p, std::int64_t,
+                                    util::WorkBudget& b) {
+      if (p == core::Protocol::kWifi80211b) {
+        while (b.Charge(65'536)) {
+        }
       }
-    }
-  };
-  core::StreamingMonitor monitor(mcfg);
-  std::size_t faulty_bt = 0;
-  monitor.on_bt_packet =
-      [&](const rfdump::phybt::DecodedBtPacket&) { ++faulty_bt; };
-  DriveWhole(monitor, span);
+    };
+    core::CollectingSink sink;
+    mcfg.sink = &sink;
+    core::StreamingMonitor monitor(mcfg);
+    DriveWhole(monitor, span);
 
-  EXPECT_EQ(faulty_bt, control_bt);
-  const auto counts = monitor.supervisor().counts();
-  EXPECT_GT(counts.deadline, 0u);
-  EXPECT_EQ(counts.exception, 0u);
-  EXPECT_EQ(monitor.summary().deadline_intervals, counts.deadline);
-  // Deadline failures quarantine too (outcome recorded, no error string).
-  const auto q = monitor.supervisor().quarantine();
-  ASSERT_FALSE(q.empty());
-  for (const auto& rec : q) {
-    EXPECT_EQ(rec.outcome, core::Outcome::kDeadline);
-    EXPECT_TRUE(rec.error.empty());
+    EXPECT_EQ(sink.bt_packets.size(), control.bt_packets.size());
+    const auto counts = monitor.supervisor().counts();
+    EXPECT_GT(counts.deadline, 0u);
+    EXPECT_EQ(counts.exception, 0u);
+    EXPECT_EQ(monitor.summary().deadline_intervals, counts.deadline);
+    // Deadline failures quarantine too (outcome recorded, no error string).
+    const auto q = monitor.supervisor().quarantine();
+    ASSERT_FALSE(q.empty());
+    for (const auto& rec : q) {
+      EXPECT_EQ(rec.outcome, core::Outcome::kDeadline);
+      EXPECT_TRUE(rec.error.empty());
+    }
+    // Budget accounting reached the supervisor (the overhead bench depends
+    // on these to price deadline checks).
+    EXPECT_GT(counts.budget_checks, 0u);
+    EXPECT_GT(counts.budget_charged, 0u);
+    across.Check(threads, sink, counts);
   }
-  // Budget accounting reached the supervisor (the overhead bench depends on
-  // these to price deadline checks).
-  EXPECT_GT(counts.budget_checks, 0u);
-  EXPECT_GT(counts.budget_charged, 0u);
 }
 
 TEST(SupervisedStreaming, CleanPathAllOkAndQuarantineEmpty) {
@@ -529,20 +621,24 @@ TEST(SupervisedStreaming, CleanPathAllOkAndQuarantineEmpty) {
   // quarantined, and both protocols decode.
   const auto samples = MixedEther(/*wifi_pings=*/6, /*bt_pings=*/16,
                                   /*seed=*/73);
-  core::StreamingMonitor monitor(SmallBlocks());
-  std::size_t wifi = 0, bt = 0;
-  monitor.on_wifi_frame =
-      [&](const rfdump::phy80211::DecodedFrame&) { ++wifi; };
-  monitor.on_bt_packet =
-      [&](const rfdump::phybt::DecodedBtPacket&) { ++bt; };
-  DriveWhole(monitor, dsp::const_sample_span(samples));
-  EXPECT_GT(wifi, 0u);
-  EXPECT_GT(bt, 0u);
-  const auto counts = monitor.supervisor().counts();
-  EXPECT_GT(counts.invocations, 0u);
-  EXPECT_EQ(counts.ok, counts.invocations);
-  EXPECT_EQ(counts.deadline + counts.exception + counts.skipped, 0u);
-  EXPECT_TRUE(monitor.supervisor().quarantine().empty());
+  SameAtEveryWidth across;
+  for (const int threads : kWidths) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    auto mcfg = SmallBlocks();
+    mcfg.threads = threads;
+    core::CollectingSink sink;
+    mcfg.sink = &sink;
+    core::StreamingMonitor monitor(mcfg);
+    DriveWhole(monitor, dsp::const_sample_span(samples));
+    EXPECT_GT(sink.wifi_frames.size(), 0u);
+    EXPECT_GT(sink.bt_packets.size(), 0u);
+    const auto counts = monitor.supervisor().counts();
+    EXPECT_GT(counts.invocations, 0u);
+    EXPECT_EQ(counts.ok, counts.invocations);
+    EXPECT_EQ(counts.deadline + counts.exception + counts.skipped, 0u);
+    EXPECT_TRUE(monitor.supervisor().quarantine().empty());
+    across.Check(threads, sink, counts);
+  }
 }
 
 }  // namespace
